@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <string_view>
 
 #include "datagen/names.h"
 
@@ -135,6 +137,18 @@ culinary::Result<FlavorUniverse> GenerateFlavorUniverse(const WorldSpec& spec) {
     return id;
   };
 
+  // Synthetic names come from a syllable generator that knows nothing of
+  // the registry, so one can equal a curated name or synonym ("pita" at
+  // seed 404). Redraw only on such a collision: a seed that never collides
+  // draws exactly the names it always drew.
+  auto fresh_name = [&](std::string_view suffix) {
+    std::string name;
+    do {
+      name = names.Next() + std::string(suffix);
+    } while (reg.FindByName(name) != flavor::kInvalidIngredient);
+    return name;
+  };
+
   // --- Step 1: raw FlavorDB-like entity list ------------------------------
   // Curated real names first (with their synonyms), then synthetic fill.
   std::vector<IngredientId> raw;
@@ -148,7 +162,7 @@ culinary::Result<FlavorUniverse> GenerateFlavorUniverse(const WorldSpec& spec) {
   }
   while (raw.size() < spec.num_raw_flavordb_ingredients) {
     CULINARY_ASSIGN_OR_RETURN(IngredientId id,
-                              add_basic(names.Next(), SampleCategory(rng)));
+                              add_basic(fresh_name(""), SampleCategory(rng)));
     raw.push_back(id);
   }
 
@@ -176,23 +190,23 @@ culinary::Result<FlavorUniverse> GenerateFlavorUniverse(const WorldSpec& spec) {
   // --- Step 3: post-curation additions ------------------------------------
   for (size_t i = 0; i < spec.num_specific_added; ++i) {
     CULINARY_RETURN_IF_ERROR(
-        add_basic(names.Next() + " extract", SampleCategory(rng)).status());
+        add_basic(fresh_name(" extract"), SampleCategory(rng)).status());
   }
   for (size_t i = 0; i < spec.num_ahn_added; ++i) {
     CULINARY_RETURN_IF_ERROR(
-        add_basic(names.Next(), SampleCategory(rng)).status());
+        add_basic(fresh_name(""), SampleCategory(rng)).status());
   }
   for (size_t i = 0; i < spec.num_additives_added; ++i) {
     bool with_profile = i + spec.num_additives_without_profile <
                         spec.num_additives_added;
     if (with_profile) {
       CULINARY_RETURN_IF_ERROR(
-          add_basic(names.Next() + " powder", Category::kAdditive).status());
+          add_basic(fresh_name(" powder"), Category::kAdditive).status());
     } else {
       // "For the last four additives, no flavor profile was added."
       CULINARY_ASSIGN_OR_RETURN(
           IngredientId id,
-          reg.AddIngredient(names.Next() + " powder", Category::kAdditive,
+          reg.AddIngredient(fresh_name(" powder"), Category::kAdditive,
                             FlavorProfile()));
       universe.meta.push_back({id, -1, 0, Category::kAdditive});
     }
@@ -211,7 +225,7 @@ culinary::Result<FlavorUniverse> GenerateFlavorUniverse(const WorldSpec& spec) {
     }
     CULINARY_ASSIGN_OR_RETURN(
         IngredientId id,
-        reg.AddCompoundIngredient(names.Next() + " blend", Category::kDish,
+        reg.AddCompoundIngredient(fresh_name(" blend"), Category::kDish,
                                   constituents));
     const flavor::Ingredient* ing = reg.Find(id);
     // Compounds inherit the home pool of their first constituent for

@@ -1,6 +1,8 @@
 #include "datagen/world.h"
 
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -72,6 +74,85 @@ TEST(WorldTest, DeterministicGeneration) {
   for (size_t i = 0; i < a->db().num_recipes(); i += 97) {
     EXPECT_EQ(a->db().recipes()[i].ingredients,
               b->db().recipes()[i].ingredients);
+  }
+}
+
+/// FNV-1a over everything generation decides: every registry slot (name,
+/// synonyms, category, kind, profile, constituents, tombstone) and every
+/// recipe (name, region, ingredient ids), in id order.
+uint64_t WorldContentDigest(const SyntheticWorld& world) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      h = (h ^ bytes[i]) * 0x100000001b3ULL;
+    }
+  };
+  auto mix_int = [&mix](int64_t v) { mix(&v, sizeof(v)); };
+  auto mix_str = [&](const std::string& s) {
+    mix_int(static_cast<int64_t>(s.size()));
+    mix(s.data(), s.size());
+  };
+  const flavor::FlavorRegistry& reg = world.registry();
+  for (size_t i = 0; i < reg.num_ingredient_slots(); ++i) {
+    auto ing = reg.GetIngredient(static_cast<flavor::IngredientId>(i),
+                                 /*include_removed=*/true);
+    EXPECT_TRUE(ing.ok()) << ing.status().ToString();
+    if (!ing.ok()) continue;
+    mix_str(ing->name);
+    for (const std::string& syn : ing->synonyms) mix_str(syn);
+    mix_int(static_cast<int64_t>(ing->category));
+    mix_int(static_cast<int64_t>(ing->kind));
+    mix_int(ing->removed ? 1 : 0);
+    for (flavor::MoleculeId m : ing->profile.ids()) mix_int(m);
+    for (flavor::IngredientId c : ing->constituents) mix_int(c);
+  }
+  for (const recipe::Recipe& r : world.db().recipes()) {
+    mix_str(r.name);
+    mix_int(static_cast<int64_t>(r.region));
+    for (flavor::IngredientId id : r.ingredients) mix_int(id);
+  }
+  return h;
+}
+
+TEST(WorldTest, ContentPinnedForSeedsThatGenerate) {
+  // Redrawing a synthetic name only when it collides with a registered one
+  // must leave every world that generated before byte-for-byte unchanged.
+  struct Pin {
+    bool small;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {false, WorldSpec::Default().seed, 0x139a2c1cd12dae05ULL},
+      {true, WorldSpec::Small().seed, 0x27f2099dcf73efd6ULL},
+      {false, 400, 0x774330158e74ca7aULL},
+      {false, 405, 0x9b77f497af57fa56ULL},
+      {false, 459, 0xbe0477818e66fb52ULL},
+  };
+  for (const Pin& pin : pins) {
+    WorldSpec spec = pin.small ? WorldSpec::Small() : WorldSpec::Default();
+    spec.seed = pin.seed;
+    auto world = GenerateWorld(spec);
+    ASSERT_TRUE(world.ok()) << world.status().ToString();
+    EXPECT_EQ(WorldContentDigest(world.value()), pin.digest)
+        << (pin.small ? "small" : "default") << " seed " << pin.seed;
+  }
+}
+
+TEST(WorldTest, EveryDefaultSpecSeedFrom400To459Generates) {
+  // Synthetic names are drawn from a syllable generator that knows nothing
+  // of the curated list; seeds 404, 433 and 453 used to draw "pita", "sage"
+  // and "lime" and fail with AlreadyExists.
+  WorldSpec spec = WorldSpec::Default();
+  size_t expected_recipes = 0;
+  for (const RegionSpec& rs : spec.regions) expected_recipes += rs.num_recipes;
+  for (uint64_t seed = 400; seed <= 459; ++seed) {
+    spec.seed = seed;
+    auto world = GenerateWorld(spec);
+    ASSERT_TRUE(world.ok()) << "seed " << seed << ": "
+                            << world.status().ToString();
+    EXPECT_EQ(world->db().num_recipes(), expected_recipes) << "seed " << seed;
   }
 }
 

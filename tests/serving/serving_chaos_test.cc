@@ -57,13 +57,17 @@ std::shared_ptr<const ServingSnapshot> BuildSmall(uint64_t seed) {
   return std::move(built).value();
 }
 
-/// A fixed probe covering all five endpoints, answered through Execute.
-std::vector<Request> ProbeRequests(const ServingSnapshot& snapshot) {
+/// A fixed probe stream cycling through all five endpoints (and, every
+/// five probes, to the next cuisine for the region endpoints).
+std::vector<Request> ProbeRequests(const ServingSnapshot& snapshot,
+                                   size_t count = 20) {
   std::vector<Request> probes;
   const auto& recipes = snapshot.db().recipes();
+  const auto& cuisines = snapshot.cuisines();
   Rng rng(7);
-  for (int i = 0; i < 20; ++i) {
+  for (size_t i = 0; i < count; ++i) {
     Request request;
+    const recipe::Region region = cuisines[(i / 5) % cuisines.size()].region();
     switch (i % 5) {
       case 0:
         request.endpoint = Endpoint::kScore;
@@ -78,12 +82,12 @@ std::vector<Request> ProbeRequests(const ServingSnapshot& snapshot) {
         break;
       case 2:
         request.endpoint = Endpoint::kFingerprint;
-        request.region = snapshot.cuisines()[0].region();
+        request.region = region;
         request.k = 5;
         break;
       case 3:
         request.endpoint = Endpoint::kSimilar;
-        request.region = snapshot.cuisines()[0].region();
+        request.region = region;
         request.k = 3;
         break;
       default:
@@ -153,6 +157,56 @@ TEST(ServingChaosTest, FailedReloadDegradesAndServesLastGoodSnapshot) {
   EXPECT_EQ(engine.generation(), healthy_generation + 1);
   engine.Stop();
   EXPECT_EQ(engine.health(), HealthState::kStopped);
+}
+
+// Client-side concurrency must not leak into answers: a fixed mixed stream
+// submitted by 1, 4 or 16 client threads through the admission queue, where
+// workers coalesce whatever is waiting into batches, yields one byte-identical
+// transcript. A 4-client pass while degraded after a failed reload yields it
+// too, and a clean reload then restores kServing.
+TEST(ServingChaosTest, SubmittedStreamIdenticalAcrossClientCountsAndDegraded) {
+  auto snapshot = BuildSmall(1);
+  QueryEngine engine(snapshot, QueryEngineOptions{.num_threads = 2});
+  const std::vector<Request> stream = ProbeRequests(*snapshot, 400);
+  auto submitted = [&](size_t clients) {
+    std::vector<std::string> lines(stream.size());
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < clients; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t i = t; i < stream.size(); i += clients) {
+          lines[i] = SerializeResponse(std::to_string(i),
+                                       engine.Submit(stream[i]).get());
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    return lines;
+  };
+
+  const std::vector<std::string> serial = submitted(1);
+  for (const std::string& line : serial) {
+    ASSERT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+  }
+  EXPECT_EQ(serial, Transcript(engine, stream));
+  EXPECT_EQ(submitted(4), serial);
+  EXPECT_EQ(submitted(16), serial);
+
+  const uint64_t healthy_generation = engine.generation();
+  ReloadManager::Options options;
+  options.retry.max_attempts = 1;
+  ReloadManager reloads(&engine, options);
+  {
+    ScopedFault fault(robustness::kFaultServingReload,
+                      FaultInjector::Plan::Always(StatusCode::kIOError));
+    EXPECT_FALSE(reloads.Reload(RebuildSource(1)).ok());
+  }
+  EXPECT_EQ(engine.health(), HealthState::kDegraded);
+  EXPECT_EQ(submitted(4), serial);
+
+  ASSERT_TRUE(reloads.Reload(RebuildSource(1)).ok());
+  EXPECT_EQ(engine.health(), HealthState::kServing);
+  EXPECT_EQ(engine.generation(), healthy_generation + 1);
+  engine.Stop();
 }
 
 TEST(ServingChaosTest, TransientLoadFailureIsRetriedToSuccess) {

@@ -1,6 +1,7 @@
 #include "snapshot/snapshot.h"
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,6 +12,8 @@
 #include "analysis/options.h"
 #include "analysis/pairing.h"
 #include "datagen/world.h"
+#include "flavor/registry_io.h"
+#include "recipe/database.h"
 #include "robustness/fault_injector.h"
 #include "snapshot/format.h"
 
@@ -152,6 +155,44 @@ TEST_F(SnapshotTest, Figure4ZScoresSurviveRoundTripAtEveryThreadCount) {
         EXPECT_EQ(b.real_mean, a.real_mean);
       }
     }
+  }
+}
+
+// CSV cold start and snapshot load are two ways into one world. Loading the
+// world's CSV export back through the parsers and building the world
+// PairingCache from scratch must give the triangle and the first statistic
+// (world N̄_s) that the snapshot of that world rehydrates, bit for bit.
+TEST_F(SnapshotTest, CsvColdStartMatchesSnapshotLoad) {
+  for (uint64_t seed : kSeeds) {
+    SCOPED_TRACE(seed);
+    LoadedWorld world = BuildWorld(seed);
+    const uint64_t digest = DigestGeneratedWorld(seed, true);
+    ASSERT_TRUE(WriteSnapshotForWorld(world, digest, path_).ok());
+    auto loaded = LoadWorldSnapshot(path_, {.expected_digest = digest});
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_TRUE(loaded->world_cache.has_value());
+
+    const std::string prefix = path_ + "_csv";
+    const std::string recipes_path = prefix + "_recipes.csv";
+    ASSERT_TRUE(flavor::SaveRegistryCsv(world.registry(), prefix).ok());
+    ASSERT_TRUE(world.db().SaveCsv(recipes_path).ok());
+    auto registry = flavor::LoadRegistryCsv(prefix);
+    ASSERT_TRUE(registry.ok()) << registry.status().ToString();
+    auto registry_ptr =
+        std::make_unique<flavor::FlavorRegistry>(std::move(registry).value());
+    auto db = recipe::RecipeDatabase::LoadCsv(recipes_path, registry_ptr.get());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    const recipe::Cuisine csv_cuisine = db->WorldCuisine();
+    const PairingCache csv_cache(*registry_ptr,
+                                 csv_cuisine.unique_ingredients(), {});
+    std::remove((prefix + "_molecules.csv").c_str());
+    std::remove((prefix + "_entities.csv").c_str());
+    std::remove(recipes_path.c_str());
+
+    EXPECT_EQ(csv_cache.triangle(), loaded->world_cache->triangle());
+    const recipe::Cuisine snap_cuisine = loaded->db().WorldCuisine();
+    EXPECT_EQ(analysis::CuisineMeanPairing(csv_cache, csv_cuisine),
+              analysis::CuisineMeanPairing(*loaded->world_cache, snap_cuisine));
   }
 }
 
