@@ -48,14 +48,16 @@ TEST(DamerauTest, EmptyInputs) {
   EXPECT_EQ(DamerauLevenshteinDistance("ab", ""), 2u);
 }
 
-/// Property sweep: triangle inequality over a small dictionary.
+/// Property sweep: triangle inequality over a small dictionary. The words are
+/// std::string so the printed parameter (and so the ctest name) is the text,
+/// not a per-process pointer value.
 class TriangleInequalityTest
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 TEST_P(TriangleInequalityTest, HoldsViaPivot) {
-  const char* a = std::get<0>(GetParam());
-  const char* b = std::get<1>(GetParam());
-  const char* pivot = "tomato";
+  const std::string& a = std::get<0>(GetParam());
+  const std::string& b = std::get<1>(GetParam());
+  const std::string pivot = "tomato";
   EXPECT_LE(LevenshteinDistance(a, b),
             LevenshteinDistance(a, pivot) + LevenshteinDistance(pivot, b));
 }

@@ -1,5 +1,7 @@
 #include "text/inflect.h"
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 namespace culinary::text {
@@ -9,6 +11,13 @@ struct SingularCase {
   const char* plural;
   const char* singular;
 };
+
+// Print the words, not the pointer bytes: the printed value becomes part of
+// the ctest name, which must not change from one process to the next.
+void PrintTo(const SingularCase& c, std::ostream* os) {
+  *os << '{' << ::testing::PrintToString(c.plural) << ", "
+      << ::testing::PrintToString(c.singular) << '}';
+}
 
 class SingularizeTest : public ::testing::TestWithParam<SingularCase> {};
 
@@ -73,6 +82,11 @@ struct PluralCase {
   const char* singular;
   const char* plural;
 };
+
+void PrintTo(const PluralCase& c, std::ostream* os) {
+  *os << '{' << ::testing::PrintToString(c.singular) << ", "
+      << ::testing::PrintToString(c.plural) << '}';
+}
 
 class PluralizeTest : public ::testing::TestWithParam<PluralCase> {};
 
