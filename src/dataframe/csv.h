@@ -1,8 +1,10 @@
 #ifndef CULINARYLAB_DATAFRAME_CSV_H_
 #define CULINARYLAB_DATAFRAME_CSV_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "dataframe/table.h"
@@ -54,19 +56,53 @@ struct CsvWriteOptions {
   bool atomic_write = false;
 };
 
-/// Parses RFC-4180 CSV text (quoted fields, doubled-quote escapes, embedded
-/// newlines inside quotes; accepts both \n and \r\n record separators; a
-/// final record without a trailing newline is still emitted).
-/// Under `ErrorPolicy::kStrict`, ragged rows, garbage after a closing quote
-/// and an unterminated quote at EOF are ParseErrors carrying line and
-/// column; under the degraded policies such records are quarantined or
-/// salvaged per `options` instead.
+/// One field of a scanned CSV record, unescaped. `text` points into the
+/// scanned text, or, for a quoted field with doubled-quote escapes, into
+/// storage owned by the scan; either way it stays valid until `ScanCsv`
+/// returns.
+struct CsvField {
+  std::string_view text;
+  /// True for a quoted field. Only an empty *unquoted* field is null.
+  bool quoted = false;
+};
+
+/// Receives one record and the 1-based source line it starts on.
+using CsvRecordFn =
+    std::function<void(const std::vector<CsvField>& fields, size_t line)>;
+
+/// The CSV tokenizer: streams RFC-4180 `text` (quoted fields, doubled-quote
+/// escapes, embedded newlines inside quotes, \n or \r\n separators, a final
+/// record without a trailing newline) to `on_record`, one record at a time.
+/// The first record fixes the width; with `options.has_header` it is the
+/// header and does not count as data. `on_record` sees the first record and
+/// then every data record that passes the width check, in source order.
+///
+/// `options.error_policy` decides what a damaged record costs. Under
+/// `kStrict` the result is a ParseError carrying line and column: the first
+/// structural error (garbage after a closing quote, an unterminated quote
+/// at EOF) if any, otherwise the first ragged record; no data record is
+/// handed on after a ragged one. Under the degraded policies a structurally
+/// damaged record is dropped and a ragged one quarantined, or with
+/// `kBestEffort` padded with null fields / truncated and kept; each costs
+/// one `options.error_sink` diagnostic, every structural one ahead of every
+/// width one. ParseError "empty CSV input" when no record survives.
+/// `options.stats` receives the record accounting. `delimiter` and
+/// `has_header` are the only other options read.
+culinary::Status ScanCsv(std::string_view text, const CsvReadOptions& options,
+                         const CsvRecordFn& on_record);
+
+/// Reads the file at `path` into one buffer sized from its length. IOError
+/// when it cannot be read; checks the `csv.open` / `csv.read`
+/// fault-injection sites (see robustness/fault_injector.h).
+culinary::Result<std::string> ReadCsvBytes(const std::string& path);
+
+/// Parses RFC-4180 CSV text into a Table: `ScanCsv` (which defines the
+/// accepted syntax and every `ErrorPolicy` outcome) plus column naming and
+/// type inference per `options`.
 culinary::Result<Table> ReadCsvString(std::string_view text,
                                       const CsvReadOptions& options = {});
 
-/// Reads and parses a CSV file. IOError when the file cannot be read.
-/// Checks the `csv.open` / `csv.read` fault-injection sites (see
-/// robustness/fault_injector.h), making every IO failure path testable.
+/// `ReadCsvBytes` then `ReadCsvString`.
 culinary::Result<Table> ReadCsvFile(const std::string& path,
                                     const CsvReadOptions& options = {});
 

@@ -1,7 +1,10 @@
 #include "recipe/database.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/string_util.h"
 #include "dataframe/csv.h"
@@ -115,9 +118,44 @@ culinary::Status RecipeDatabase::SaveCsv(const std::string& path) const {
 
 namespace {
 
-/// Shared row-resolution loop. `csv_policy` governs the CSV layer,
-/// `row_policy` the resolution layer — the legacy LoadCsv entry point is
-/// strict about CSV damage but always skipped unresolvable rows.
+/// Column positions of the fields a recipe row is read from.
+struct RecipeColumns {
+  size_t name = 0;
+  size_t region = 0;
+  size_t ingredients = 0;
+};
+
+/// Binds the header. Duplicate names are the CSV layer's error, hence the
+/// load context; a missing column is the loader's own.
+culinary::Result<RecipeColumns> BindHeader(
+    const std::vector<df::CsvField>& header, const std::string& path) {
+  std::unordered_set<std::string_view> seen;
+  for (const df::CsvField& f : header) {
+    if (!seen.insert(f.text).second) {
+      return culinary::Status::InvalidArgument("duplicate field name: " +
+                                               std::string(f.text))
+          .WithContext("loading recipe database from " + path);
+    }
+  }
+  RecipeColumns columns;
+  for (auto [name, index] : {std::pair{"name", &columns.name},
+                             std::pair{"region", &columns.region},
+                             std::pair{"ingredients", &columns.ingredients}}) {
+    auto it = std::find_if(header.begin(), header.end(),
+                           [&](const df::CsvField& f) { return f.text == name; });
+    if (it == header.end()) {
+      return culinary::Status::ParseError(std::string("missing column '") +
+                                          name + "' in " + path);
+    }
+    *index = static_cast<size_t>(it - header.begin());
+  }
+  return columns;
+}
+
+/// Reads the file once and resolves each CSV record into a recipe as the
+/// scanner hands it over. `csv_policy` governs the CSV layer, `row_policy`
+/// the resolution layer — the legacy LoadCsv entry point is strict about
+/// CSV damage but always skipped unresolvable rows.
 culinary::Result<RecipeDatabase> LoadCsvImpl(
     const std::string& path, const flavor::FlavorRegistry* registry,
     robustness::ErrorPolicy csv_policy, robustness::ErrorPolicy row_policy,
@@ -127,89 +165,115 @@ culinary::Result<RecipeDatabase> LoadCsvImpl(
     return culinary::Status::InvalidArgument("registry must not be null");
   }
   CULINARY_OBS_SPAN(ingest_span, "ingest.load_recipes", "ingest");
+  const std::string context = "loading recipe database from " + path;
+  auto bytes = robustness::RetryResult(
+      retry, [&]() { return df::ReadCsvBytes(path); });
+  if (!bytes.ok()) return bytes.status().WithContext(context);
+
   IngestReport local;
   df::CsvReadOptions read_options;
   read_options.error_policy = csv_policy;
   read_options.error_sink = sink;
   read_options.stats = &local.records;
-  auto table_read = df::ReadCsvFileRetry(path, read_options, retry);
-  if (!table_read.ok()) {
-    return table_read.status().WithContext("loading recipe database from " +
-                                           path);
-  }
-  df::Table table = std::move(table_read).value();
-  for (const char* col : {"name", "region", "ingredients"}) {
-    if (!table.schema().HasField(col)) {
-      return culinary::Status::ParseError(std::string("missing column '") +
-                                          col + "' in " + path);
-    }
-  }
+
   const bool strict_rows = row_policy == robustness::ErrorPolicy::kStrict;
-  auto quarantine = [&](size_t row, std::string message,
-                        std::string snippet) -> culinary::Status {
+  // The first error of the resolution layer. It only decides the result
+  // when the CSV layer has none, so the scan runs on past it.
+  culinary::Status row_error;
+  // Row diagnostics go to the sink after the scan's own.
+  std::vector<robustness::Diagnostic> row_diagnostics;
+  auto quarantine = [&](size_t row, std::string message, std::string_view snippet) {
     if (strict_rows) {
-      return culinary::Status::ParseError("row " + std::to_string(row) +
-                                          " of " + path + ": " + message);
+      row_error = culinary::Status::ParseError("row " + std::to_string(row) +
+                                               " of " + path + ": " + message);
+      return;
     }
     if (sink != nullptr) {
-      sink->Report(/*line=*/0, /*column=*/0, StatusCode::kParseError,
-                   "row " + std::to_string(row) + ": " + std::move(message),
-                   std::move(snippet));
+      robustness::Diagnostic d;
+      d.message = "row " + std::to_string(row) + ": " + std::move(message);
+      d.snippet = std::string(snippet);
+      row_diagnostics.push_back(std::move(d));
     }
     ++local.rows_quarantined;
-    return culinary::Status::OK();
+  };
+  // The registry is const for the whole load, so one lookup per distinct
+  // spelling is exact. Keys view the scanned text, which outlives the scan.
+  std::unordered_map<std::string_view, flavor::IngredientId> id_by_name;
+  auto resolve = [&](std::string_view name) {
+    auto [it, inserted] = id_by_name.try_emplace(name);
+    if (inserted) it->second = registry->FindByName(name);
+    return it->second;
+  };
+  auto is_null = [](const df::CsvField& f) {
+    return !f.quoted && f.text.empty();
   };
 
   RecipeDatabase db(registry);
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    CULINARY_ASSIGN_OR_RETURN(df::Value name_v, table.GetValueChecked(r, "name"));
-    CULINARY_ASSIGN_OR_RETURN(df::Value region_v,
-                              table.GetValueChecked(r, "region"));
-    CULINARY_ASSIGN_OR_RETURN(df::Value ing_v,
-                              table.GetValueChecked(r, "ingredients"));
-    if (region_v.is_null() || ing_v.is_null()) {
-      CULINARY_RETURN_IF_ERROR(
-          quarantine(r, "null region or ingredients", std::string()));
-      continue;
+  std::optional<RecipeColumns> columns;
+  size_t row = 0;  // index among the records the CSV layer kept
+  auto on_record = [&](const std::vector<df::CsvField>& fields, size_t) {
+    if (!columns.has_value() && row_error.ok()) {
+      auto bound = BindHeader(fields, path);
+      if (bound.ok()) {
+        columns = *bound;
+      } else {
+        row_error = bound.status();
+      }
+      return;
     }
-    auto region = RegionFromCode(region_v.as_string());
+    if (!row_error.ok()) return;
+    const size_t r = row++;
+    const df::CsvField& region_f = fields[columns->region];
+    const df::CsvField& ingredients_f = fields[columns->ingredients];
+    if (is_null(region_f) || is_null(ingredients_f)) {
+      quarantine(r, "null region or ingredients", {});
+      return;
+    }
+    auto region = RegionFromCode(region_f.text);
     if (!region.has_value() || *region == Region::kWorld) {
-      CULINARY_RETURN_IF_ERROR(quarantine(
-          r, "unknown region '" + region_v.as_string() + "'",
-          region_v.as_string()));
-      continue;
+      quarantine(r, "unknown region '" + std::string(region_f.text) + "'",
+                 region_f.text);
+      return;
     }
     std::vector<flavor::IngredientId> ids;
     size_t dropped_names = 0;
-    for (const std::string& raw : culinary::Split(ing_v.as_string(), ';')) {
-      std::string_view trimmed = culinary::Trim(raw);
+    std::string_view list = ingredients_f.text;
+    for (size_t begin = 0; begin <= list.size();) {
+      size_t end = std::min(list.find(';', begin), list.size());
+      std::string_view trimmed =
+          culinary::Trim(list.substr(begin, end - begin));
+      begin = end + 1;
       if (trimmed.empty()) continue;
-      flavor::IngredientId id = registry->FindByName(trimmed);
+      flavor::IngredientId id = resolve(trimmed);
       if (id != flavor::kInvalidIngredient) {
         ids.push_back(id);
+      } else if (strict_rows) {
+        row_error = culinary::Status::ParseError(
+            "row " + std::to_string(r) + " of " + path +
+            ": unknown ingredient '" + std::string(trimmed) + "'");
+        return;
       } else {
-        if (strict_rows) {
-          return culinary::Status::ParseError(
-              "row " + std::to_string(r) + " of " + path +
-              ": unknown ingredient '" + std::string(trimmed) + "'");
-        }
         ++dropped_names;
       }
     }
     local.ingredient_names_dropped += dropped_names;
     if (ids.empty()) {
-      CULINARY_RETURN_IF_ERROR(quarantine(
-          r, "no resolvable ingredient", ing_v.as_string()));
-      continue;
+      quarantine(r, "no resolvable ingredient", list);
+      return;
     }
-    std::string name = name_v.is_null() ? "" : name_v.as_string();
-    auto added = db.AddRecipe(std::move(name), *region, std::move(ids));
+    const df::CsvField& name_f = fields[columns->name];
+    auto added = db.AddRecipe(std::string(name_f.text), *region, std::move(ids));
     if (!added.ok()) {
-      CULINARY_RETURN_IF_ERROR(
-          quarantine(r, added.status().message(), std::string()));
-      continue;
+      quarantine(r, std::string(added.status().message()), {});
+      return;
     }
     ++local.rows_loaded;
+  };
+  culinary::Status scanned = df::ScanCsv(*bytes, read_options, on_record);
+  if (!scanned.ok()) return scanned.WithContext(context);
+  CULINARY_RETURN_IF_ERROR(row_error);
+  if (sink != nullptr) {
+    for (robustness::Diagnostic& d : row_diagnostics) sink->Report(std::move(d));
   }
   // Ingestion accounting mirrors IngestReport, so --metrics-out shows how
   // much of a degraded corpus actually survived.

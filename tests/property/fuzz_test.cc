@@ -2,7 +2,11 @@
 // invariants that must hold for arbitrary inputs, exercised over many
 // randomly generated cases. Failures print the case seed for replay.
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -13,7 +17,9 @@
 #include "common/string_util.h"
 #include "dataframe/csv.h"
 #include "dataframe/ops.h"
+#include "datagen/world.h"
 #include "flavor/registry.h"
+#include "recipe/database.h"
 #include "recipe/parser.h"
 #include "text/edit_distance.h"
 #include "text/inflect.h"
@@ -78,6 +84,116 @@ TEST(CsvFuzzTest, GarbageInputNeverCrashes) {
       EXPECT_GE(result->num_columns(), 1u);
     }
   }
+}
+
+/// Applies 1-4 seeded mutations to `text` at or after `body_begin` (the
+/// header line stays intact): a bit flip, a truncation, a splice of a chunk
+/// copied from elsewhere, a duplicated line, or an injected '"', ';' or
+/// '\r'.
+std::string MutateRecipeCsv(Rng& rng, std::string text, size_t body_begin) {
+  static const char kInjected[] = {'"', ';', '\r'};
+  const size_t mutations = 1 + rng.NextBounded(4);
+  for (size_t m = 0; m < mutations && text.size() > body_begin; ++m) {
+    const size_t at = body_begin + rng.NextBounded(text.size() - body_begin);
+    switch (rng.NextBounded(5)) {
+      case 0:
+        text[at] = static_cast<char>(text[at] ^ (1 << rng.NextBounded(8)));
+        break;
+      case 1:
+        text.resize(at);
+        break;
+      case 2: {
+        const size_t from =
+            body_begin + rng.NextBounded(text.size() - body_begin);
+        const size_t len =
+            1 + rng.NextBounded(std::min<size_t>(64, text.size() - from));
+        text.insert(at, text.substr(from, len));
+        break;
+      }
+      case 3: {
+        // The header's newline precedes `at`, so the line start is found.
+        const size_t begin = text.rfind('\n', at) + 1;
+        const size_t end = std::min(text.find('\n', at), text.size() - 1) + 1;
+        text.insert(begin, text.substr(begin, end - begin));
+        break;
+      }
+      default:
+        text.insert(at, 1, kInjected[rng.NextBounded(3)]);
+        break;
+    }
+  }
+  return text;
+}
+
+/// Recipes as comparable text: id, name, region and ingredient ids.
+std::string RecipesText(const recipe::RecipeDatabase& db) {
+  std::ostringstream os;
+  for (const recipe::Recipe& r : db.recipes()) {
+    os << r.id << '|' << r.name << '|' << recipe::RegionCode(r.region);
+    for (flavor::IngredientId id : r.ingredients) os << ',' << id;
+    os << '\n';
+  }
+  return os.str();
+}
+
+TEST(RecipeCsvFuzzTest, MutatedExportsLoadUnderEveryPolicy) {
+  auto world = datagen::GenerateWorld(datagen::WorldSpec::Small());
+  ASSERT_TRUE(world.ok()) << world.status().ToString();
+  const std::string path = ::testing::TempDir() + "/culinary_fuzz_recipes.csv";
+  ASSERT_TRUE(world->db().SaveCsv(path).ok());
+  // The header plus the first 60 recipes keeps each case small.
+  std::string export_text;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::string line;
+    for (int i = 0; i <= 60 && std::getline(in, line); ++i) {
+      export_text += line + "\n";
+    }
+  }
+  const size_t body_begin = export_text.find('\n') + 1;
+  const flavor::FlavorRegistry* reg = &world->registry();
+
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << MutateRecipeCsv(rng, export_text, body_begin);
+    }
+    size_t skipped = 0;
+    auto legacy = recipe::RecipeDatabase::LoadCsv(path, reg, &skipped);
+    EXPECT_TRUE(legacy.ok() || legacy.status().IsParseError())
+        << legacy.status().ToString();
+
+    recipe::IngestOptions strict_options;
+    strict_options.error_policy = robustness::ErrorPolicy::kStrict;
+    auto strict = recipe::RecipeDatabase::LoadCsv(path, reg, strict_options);
+    EXPECT_TRUE(strict.ok() || strict.status().IsParseError())
+        << strict.status().ToString();
+
+    for (robustness::ErrorPolicy policy :
+         {robustness::ErrorPolicy::kSkipAndReport,
+          robustness::ErrorPolicy::kBestEffort}) {
+      robustness::ErrorSink sink;
+      recipe::IngestOptions options;
+      options.error_policy = policy;
+      options.error_sink = &sink;
+      recipe::IngestReport report;
+      auto db = recipe::RecipeDatabase::LoadCsv(path, reg, options, &report);
+      ASSERT_TRUE(db.ok()) << db.status().ToString();
+      EXPECT_EQ(db->num_recipes(), report.rows_loaded);
+      EXPECT_EQ(report.rows_loaded + report.rows_quarantined,
+                report.records.records_ok);
+      EXPECT_EQ(report.records.records_ok + report.records.records_quarantined,
+                report.records.records_total);
+      if (strict.ok()) {
+        // Nothing for a degraded policy to repair.
+        EXPECT_TRUE(sink.empty()) << sink.Summary();
+        EXPECT_EQ(RecipesText(*db), RecipesText(*strict));
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(TokenizerFuzzTest, TokensAreCleanAndLowercase) {

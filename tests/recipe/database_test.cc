@@ -173,6 +173,56 @@ TEST_F(DatabaseTest, LoadCsvRequiresColumns) {
   std::remove(path.c_str());
 }
 
+// All-numeric name / region / ingredients columns used to be typed as
+// numbers by the table reader and abort the load; fields are text now.
+TEST_F(DatabaseTest, LoadCsvReadsNumericColumnsAsText) {
+  std::string path = ::testing::TempDir() + "/culinary_db_numeric.csv";
+  auto load = [&](const char* text, robustness::ErrorSink* sink,
+                  IngestReport* report) {
+    {
+      std::ofstream out(path);
+      out << "id,name,region,ingredients\n" << text;
+    }
+    IngestOptions options;
+    options.error_sink = sink;
+    return RecipeDatabase::LoadCsv(path, &reg_, options, report);
+  };
+
+  IngestReport report;
+  auto names = load("0,1,ITA,tomato;basil\n1,2,JPN,rice\n", nullptr, &report);
+  ASSERT_TRUE(names.ok()) << names.status().ToString();
+  ASSERT_EQ(names->num_recipes(), 2u);
+  EXPECT_EQ(names->recipes()[0].name, "1");
+  EXPECT_EQ(names->recipes()[1].name, "2");
+
+  robustness::ErrorSink sink;
+  auto regions = load("0,a,1,tomato\n1,b,1,rice\n", &sink, &report);
+  ASSERT_TRUE(regions.ok()) << regions.status().ToString();
+  EXPECT_EQ(regions->num_recipes(), 0u);
+  EXPECT_EQ(report.rows_quarantined, 2u);
+  ASSERT_EQ(sink.diagnostics().size(), 2u);
+  EXPECT_EQ(sink.diagnostics()[0].message, "row 0: unknown region '1'");
+
+  sink.Clear();
+  auto lists = load("0,a,ITA,1\n1,b,ITA,2\n", &sink, &report);
+  ASSERT_TRUE(lists.ok()) << lists.status().ToString();
+  EXPECT_EQ(lists->num_recipes(), 0u);
+  EXPECT_EQ(report.rows_quarantined, 2u);
+  ASSERT_EQ(sink.diagnostics().size(), 2u);
+  EXPECT_EQ(sink.diagnostics()[1].message, "row 1: no resolvable ingredient");
+
+  // The legacy entry point skips the same rows instead of aborting.
+  size_t skipped = 0;
+  {
+    std::ofstream out(path);
+    out << "id,name,region,ingredients\n0,1,1,1\n";
+  }
+  auto legacy = RecipeDatabase::LoadCsv(path, &reg_, &skipped);
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  EXPECT_EQ(skipped, 1u);
+  std::remove(path.c_str());
+}
+
 TEST_F(DatabaseTest, LoadCsvNullRegistry) {
   EXPECT_TRUE(RecipeDatabase::LoadCsv("x.csv", nullptr)
                   .status()

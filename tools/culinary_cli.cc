@@ -575,7 +575,13 @@ int CmdAnalyze(const GlobalArgs& args) {
         std::make_unique<recipe::RecipeDatabase>(std::move(db).value());
     return world;
   };
-  CULINARY_ASSIGN_OR_RETURN_FOR_MAIN(digest, AnalyzeInputsDigest(args));
+  // Only a snapshot reads the digest; without one, hashing every input
+  // file would be wasted work.
+  uint64_t digest = 0;
+  if (!args.snapshot_in.empty() || !args.snapshot_out.empty()) {
+    CULINARY_ASSIGN_OR_RETURN_FOR_MAIN(inputs_digest, AnalyzeInputsDigest(args));
+    digest = inputs_digest;
+  }
   CULINARY_ASSIGN_OR_RETURN_FOR_MAIN(world,
                                      AcquireWorldWith(args, digest, rebuild));
   return AnalyzeWithDatabase(args, world.registry(), world.db());
